@@ -114,19 +114,31 @@ Circuitformer::pack(
     const std::vector<const std::vector<TokenId> *> &paths,
     std::vector<int> &ids, int &time, std::vector<int> &lengths) const
 {
+    std::vector<std::span<const TokenId>> views;
+    views.reserve(paths.size());
+    for (const auto *path : paths)
+        views.emplace_back(*path);
+    pack(views, ids, time, lengths);
+}
+
+void
+Circuitformer::pack(std::span<const std::span<const TokenId>> paths,
+                    std::vector<int> &ids, int &time,
+                    std::vector<int> &lengths) const
+{
     const int batch = static_cast<int>(paths.size());
     const int cap = config_.encoder.max_positions;
     time = 1;
     lengths.assign(batch, 0);
     for (int b = 0; b < batch; ++b) {
-        lengths[b] = std::min<int>(cap, paths[b]->size());
+        lengths[b] = std::min<int>(cap, paths[b].size());
         time = std::max(time, lengths[b]);
     }
     ids.assign(static_cast<size_t>(batch) * time,
                Vocabulary::instance().padId());
     for (int b = 0; b < batch; ++b) {
         for (int t = 0; t < lengths[b]; ++t)
-            ids[static_cast<size_t>(b) * time + t] = (*paths[b])[t];
+            ids[static_cast<size_t>(b) * time + t] = paths[b][t];
     }
 }
 
@@ -314,6 +326,15 @@ std::vector<PathPrediction>
 Circuitformer::predict(const std::vector<std::vector<TokenId>> &paths,
                        int batch_size, Precision precision) const
 {
+    const std::vector<std::span<const TokenId>> views(paths.begin(),
+                                                      paths.end());
+    return predict(views, batch_size, precision);
+}
+
+std::vector<PathPrediction>
+Circuitformer::predict(std::span<const std::span<const TokenId>> paths,
+                       int batch_size, Precision precision) const
+{
     SNS_ASSERT(normalized_, "fitNormalization() before predict()");
     SNS_ASSERT(batch_size > 0, "predict() needs batch_size > 0");
     // Int8 runs exclusively through the quantized plan — there is no
@@ -335,46 +356,45 @@ Circuitformer::predict(const std::vector<std::vector<TokenId>> &paths,
     // Batch boundaries depend only on batch_size, never on the thread
     // count, and each forward pass writes a disjoint slice of `out` —
     // so the parallel prediction is bitwise identical to the serial one.
+    // Workers claim one batch at a time, the last batch first: when the
+    // caller sorted its paths by length, the longest batches start
+    // first and no worker is left holding them at the end.
     const size_t stride = static_cast<size_t>(batch_size);
     const size_t num_batches = (paths.size() + stride - 1) / stride;
-    par::parallelFor(num_batches, [&](size_t bbegin, size_t bend) {
+    par::globalPool().run(num_batches, [&](size_t task) {
         NoGradGuard no_grad;
-        for (size_t b = bbegin; b < bend; ++b) {
-            const size_t start = b * stride;
-            const size_t end = std::min(paths.size(), start + stride);
-            std::vector<const std::vector<TokenId> *> batch_paths;
-            for (size_t i = start; i < end; ++i)
-                batch_paths.push_back(&paths[i]);
-            std::vector<int> ids;
-            std::vector<int> lengths;
-            int time = 0;
-            pack(batch_paths, ids, time, lengths);
-            const int rows = static_cast<int>(batch_paths.size());
-            // Planned execution when a verified plan is bound and the
-            // batch fits it; bitwise-identical to the module walk
-            // (docs/plan.md), so mixing the two paths is sound.
-            const float *planned = nullptr;
-            if (active != nullptr && plan::planEnabled() &&
-                rows <= active->batchMax())
-                planned = active->run(ids, lengths, rows, time);
-            Variable pred;
-            if (planned == nullptr)
-                pred = forwardBatch(ids, rows, time, lengths);
-            const auto logit = [&](size_t row, int t) {
-                return planned != nullptr
-                           ? planned[row * 3 + t]
-                           : pred.value().at2(static_cast<int>(row), t);
-            };
-            for (size_t i = 0; i < batch_paths.size(); ++i) {
-                PathPrediction p;
-                p.timing_ps = std::exp(logit(i, 0) * target_std_[0] +
-                                       target_mean_[0]);
-                p.area_um2 = std::exp(logit(i, 1) * target_std_[1] +
-                                      target_mean_[1]);
-                p.power_mw = std::exp(logit(i, 2) * target_std_[2] +
-                                      target_mean_[2]);
-                out[start + i] = p;
-            }
+        const size_t start = (num_batches - 1 - task) * stride;
+        const size_t end = std::min(paths.size(), start + stride);
+        const auto batch_paths = paths.subspan(start, end - start);
+        std::vector<int> ids;
+        std::vector<int> lengths;
+        int time = 0;
+        pack(batch_paths, ids, time, lengths);
+        const int rows = static_cast<int>(batch_paths.size());
+        // Planned execution when a verified plan is bound and the
+        // batch fits it; bitwise-identical to the module walk
+        // (docs/plan.md), so mixing the two paths is sound.
+        const float *planned = nullptr;
+        if (active != nullptr && plan::planEnabled() &&
+            rows <= active->batchMax())
+            planned = active->run(ids, lengths, rows, time);
+        Variable pred;
+        if (planned == nullptr)
+            pred = forwardBatch(ids, rows, time, lengths);
+        const auto logit = [&](size_t row, int t) {
+            return planned != nullptr
+                       ? planned[row * 3 + t]
+                       : pred.value().at2(static_cast<int>(row), t);
+        };
+        for (size_t i = 0; i < batch_paths.size(); ++i) {
+            PathPrediction p;
+            p.timing_ps = std::exp(logit(i, 0) * target_std_[0] +
+                                   target_mean_[0]);
+            p.area_um2 = std::exp(logit(i, 1) * target_std_[1] +
+                                  target_mean_[1]);
+            p.power_mw = std::exp(logit(i, 2) * target_std_[2] +
+                                  target_mean_[2]);
+            out[start + i] = p;
         }
     });
     return out;

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,14 @@ class Circuitformer : public nn::Module
         int batch_size = 64,
         Precision precision = Precision::Fp64) const;
 
+    /** The same over borrowed token paths (nothing is copied): result
+     * i belongs to paths[i]. Batches are cut from `paths` in order;
+     * a caller that sorts them by length saves padding. */
+    std::vector<PathPrediction> predict(
+        std::span<const std::span<const graphir::TokenId>> paths,
+        int batch_size = 64,
+        Precision precision = Precision::Fp64) const;
+
     std::vector<tensor::Variable> parameters() const override;
 
     /**
@@ -223,6 +232,9 @@ class Circuitformer : public nn::Module
     /** Pack a list of token paths into padded ids + lengths. */
     void pack(const std::vector<const std::vector<graphir::TokenId> *>
                   &paths,
+              std::vector<int> &ids, int &time,
+              std::vector<int> &lengths) const;
+    void pack(std::span<const std::span<const graphir::TokenId>> paths,
               std::vector<int> &ids, int &time,
               std::vector<int> &lengths) const;
 

@@ -2,9 +2,11 @@
 
 #include "core/design_session.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <unordered_map>
 
 #include "nn/serialize.hh"
@@ -23,6 +25,140 @@ namespace {
  * PredictOptions::batch_size. Bigger batch_size values fall back to
  * the (bitwise-identical) module walk. */
 constexpr int kPlanBatchMax = 64;
+
+/** Slot of a sampled path the cache resolved before the call (and the
+ * end of a PathTable hash chain). */
+constexpr uint32_t kNoSlot = UINT32_MAX;
+
+using TokenSpan = std::span<const graphir::TokenId>;
+
+/**
+ * One design's sampled paths, packed back to back (path p is
+ * [starts[p], starts[p + 1]) of `tokens` and of `nodes`), with per
+ * path its token hash, its prediction, and its slot in the call's
+ * PathTable. Packing lets the sampler's per-path vectors die on the
+ * thread that made them, as soon as the design is sampled.
+ */
+struct DesignPaths
+{
+    std::vector<graphir::TokenId> tokens;
+    std::vector<graphir::NodeId> nodes;
+    std::vector<size_t> starts = {0};
+    std::vector<uint64_t> hashes;
+    std::vector<PathPrediction> preds;
+    std::vector<uint32_t> slots;
+
+    explicit DesignPaths(
+        const std::vector<sampler::SampledPath> &paths = {})
+    {
+        for (const auto &path : paths) {
+            SNS_ASSERT(!path.nodes.empty() &&
+                           path.tokens.size() == path.nodes.size(),
+                       "sampled path needs one token per vertex");
+            tokens.insert(tokens.end(), path.tokens.begin(),
+                          path.tokens.end());
+            nodes.insert(nodes.end(), path.nodes.begin(),
+                         path.nodes.end());
+            starts.push_back(tokens.size());
+        }
+        hashes.resize(size());
+        preds.resize(size());
+        slots.assign(size(), kNoSlot);
+    }
+
+    size_t size() const { return starts.size() - 1; }
+
+    TokenSpan
+    path(size_t p) const
+    {
+        return TokenSpan(tokens).subspan(starts[p],
+                                         starts[p + 1] - starts[p]);
+    }
+};
+
+/**
+ * The intern table of one predictBatch call: every distinct token
+ * sequence once, in first-occurrence order. The hash only routes; a
+ * match is confirmed by full token comparison, so colliding sequences
+ * never share a slot. Holds views into the designs' packed tokens.
+ */
+class PathTable
+{
+  public:
+    uint32_t
+    intern(TokenSpan tokens, uint64_t hash)
+    {
+        const uint32_t fresh = static_cast<uint32_t>(paths_.size());
+        const auto [it, inserted] = first_.try_emplace(hash, fresh);
+        if (!inserted) {
+            uint32_t slot = it->second;
+            for (;;) {
+                if (std::ranges::equal(paths_[slot], tokens))
+                    return slot;
+                if (next_[slot] == kNoSlot)
+                    break;
+                slot = next_[slot];
+            }
+            next_[slot] = fresh; // a hash collision: chain a new slot
+        }
+        paths_.push_back(tokens);
+        next_.push_back(kNoSlot);
+        return fresh;
+    }
+
+    const std::vector<TokenSpan> &paths() const { return paths_; }
+
+  private:
+    std::unordered_map<uint64_t, uint32_t> first_;
+    std::vector<TokenSpan> paths_;
+    std::vector<uint32_t> next_; ///< next slot with the same hash
+};
+
+/** Steps 3 and 4 of Fig. 1 for one design whose path predictions are
+ * resolved: reductions, then the design-level heads. */
+SnsPrediction
+reduceDesign(const graphir::Graph &graph, const DesignPaths &design,
+             const AggregationHeads &heads, bool collect_critical_path)
+{
+    SnsPrediction prediction;
+    const size_t n = design.size();
+    prediction.paths_sampled = n;
+    if (n == 0)
+        return prediction;
+
+    // Per-path activity is the mean of the endpoint registers'
+    // activity coefficients (§3.4.4).
+    std::vector<double> activities;
+    std::vector<size_t> lengths;
+    activities.reserve(n);
+    lengths.reserve(n);
+    for (size_t p = 0; p < n; ++p) {
+        const double front = graph.activity(design.nodes[design.starts[p]]);
+        const double back =
+            graph.activity(design.nodes[design.starts[p + 1] - 1]);
+        activities.push_back(0.5 * (front + back));
+        lengths.push_back(design.starts[p + 1] - design.starts[p]);
+    }
+    const auto summary =
+        reduceAggregates(graph, design.preds, lengths, activities);
+    prediction.timing_ps = heads.timing->predict(summary);
+    prediction.area_um2 = heads.area->predict(summary);
+    prediction.power_mw = heads.power->predict(summary);
+
+    // Critical-path localization: the sampled path with the largest
+    // predicted timing.
+    if (collect_critical_path) {
+        size_t argmax = 0;
+        for (size_t p = 1; p < n; ++p) {
+            if (design.preds[p].timing_ps > design.preds[argmax].timing_ps)
+                argmax = p;
+        }
+        prediction.critical_path.assign(
+            design.nodes.begin() + design.starts[argmax],
+            design.nodes.begin() + design.starts[argmax + 1]);
+    }
+    return prediction;
+}
 
 } // namespace
 
@@ -95,136 +231,6 @@ SnsPredictor::SnsPredictor(std::shared_ptr<Circuitformer> circuitformer,
         circuitformer_->parameters()));
 }
 
-SnsPrediction
-SnsPredictor::predictOne(const graphir::Graph &graph,
-                         const PredictOptions &options) const
-{
-    SnsPrediction prediction;
-
-    // 1. Sample complete circuit paths.
-    const auto paths = sampler::PathSampler(sampler_options_).sample(graph);
-    prediction.paths_sampled = paths.size();
-    if (paths.empty())
-        return prediction;
-
-    // 2. Path-level inference, memoized when the caller holds a cache.
-    std::vector<std::vector<graphir::TokenId>> token_paths;
-    token_paths.reserve(paths.size());
-    for (const auto &path : paths)
-        token_paths.push_back(path.tokens);
-    const auto path_preds =
-        options.cache != nullptr
-            ? predictPathsCached(token_paths, *options.cache,
-                                 options.batch_size, options.precision)
-            : circuitformer_->predict(token_paths, options.batch_size,
-                                      options.precision);
-
-    // 3. Reductions. Per-path activity is the mean of the endpoint
-    //    registers' activity coefficients (§3.4.4).
-    std::vector<double> activities;
-    std::vector<size_t> lengths;
-    activities.reserve(paths.size());
-    lengths.reserve(paths.size());
-    for (const auto &path : paths) {
-        const double front = graph.activity(path.nodes.front());
-        const double back = graph.activity(path.nodes.back());
-        activities.push_back(0.5 * (front + back));
-        lengths.push_back(path.nodes.size());
-    }
-    const auto summary =
-        reduceAggregates(graph, path_preds, lengths, activities);
-
-    // 4. Design-level MLPs.
-    prediction.timing_ps = heads_.timing->predict(summary);
-    prediction.area_um2 = heads_.area->predict(summary);
-    prediction.power_mw = heads_.power->predict(summary);
-
-    // Critical-path localization: the sampled path with the largest
-    // predicted timing.
-    if (options.collect_critical_path) {
-        size_t argmax = 0;
-        for (size_t i = 1; i < path_preds.size(); ++i) {
-            if (path_preds[i].timing_ps > path_preds[argmax].timing_ps)
-                argmax = i;
-        }
-        prediction.critical_path = paths[argmax].nodes;
-    }
-    return prediction;
-}
-
-std::vector<PathPrediction>
-SnsPredictor::predictPathsCached(
-    const std::vector<std::vector<graphir::TokenId>> &token_paths,
-    perf::PathPredictionCache &cache, int batch_size,
-    Precision precision) const
-{
-    std::vector<PathPrediction> preds(token_paths.size());
-
-    // A shared cache only memoizes soundly under one fixed model *and*
-    // numeric tier — int8 predictions deliberately differ from fp64
-    // ones — so the binding fingerprint is precision-salted
-    // (predictionFingerprint); first binder wins, equal fingerprints
-    // coexist, a conflict is a caller bug.
-    SNS_ASSERT(cache.bindModel(predictionFingerprint(precision)),
-               "path cache is bound to a different model or precision "
-               "(fingerprint ", cache.boundModel(),
-               ") — a shared cache requires identical Circuitformer "
-               "weights and numeric tier; clear() it before switching");
-
-    // Probe phase: resolve hits immediately; dedup the misses so each
-    // unique path is forwarded through the Circuitformer exactly once.
-    // `unique` holds the first index of each distinct missed sequence,
-    // `assign[i]` maps every miss back to its unique slot. Hash
-    // buckets are verified by full token comparison, so colliding
-    // sequences never share a slot.
-    std::vector<size_t> unique;
-    std::vector<size_t> assign(token_paths.size());
-    std::vector<char> hit(token_paths.size(), 0);
-    std::unordered_map<uint64_t, std::vector<size_t>> pending;
-    for (size_t i = 0; i < token_paths.size(); ++i) {
-        if (cache.lookup(token_paths[i], preds[i])) {
-            hit[i] = 1;
-            continue;
-        }
-        const uint64_t hash = perf::hashTokens(token_paths[i]);
-        auto &slots = pending[hash];
-        size_t slot = unique.size();
-        for (const size_t candidate : slots) {
-            if (token_paths[unique[candidate]] == token_paths[i]) {
-                slot = candidate;
-                break;
-            }
-        }
-        if (slot == unique.size()) {
-            slots.push_back(slot);
-            unique.push_back(i);
-        }
-        assign[i] = slot;
-    }
-    if (unique.empty())
-        return preds;
-
-    // Compute phase: one forward pass over the deduplicated misses.
-    // Batch padding is key-masked, so each path's row is bitwise
-    // independent of its batch mates — regrouping misses never changes
-    // a prediction (docs/perf.md).
-    std::vector<std::vector<graphir::TokenId>> miss_paths;
-    miss_paths.reserve(unique.size());
-    for (const size_t index : unique)
-        miss_paths.push_back(token_paths[index]);
-    const auto miss_preds =
-        circuitformer_->predict(miss_paths, batch_size, precision);
-
-    // Scatter phase: memoize and fill every miss in original order.
-    for (size_t u = 0; u < unique.size(); ++u)
-        cache.insert(miss_paths[u], miss_preds[u]);
-    for (size_t i = 0; i < token_paths.size(); ++i) {
-        if (!hit[i])
-            preds[i] = miss_preds[assign[i]];
-    }
-    return preds;
-}
-
 std::vector<SnsPrediction>
 SnsPredictor::predictBatch(std::span<const graphir::Graph *const> graphs,
                            const PredictOptions &options) const
@@ -258,22 +264,108 @@ SnsPredictor::predictBatch(std::span<const graphir::Graph *const> graphs,
         return {effective.session->predict(*this, *graphs[0], inner)};
     }
 
+    for (size_t i = 0; i < graphs.size(); ++i)
+        SNS_ASSERT(graphs[i] != nullptr,
+                   "predictBatch: null graph at index ", i);
+    perf::PathPredictionCache *const cache = effective.cache;
+    // A shared cache only memoizes soundly under one fixed model *and*
+    // numeric tier — int8 predictions deliberately differ from fp64
+    // ones — so the binding fingerprint is precision-salted
+    // (predictionFingerprint); first binder wins, equal fingerprints
+    // coexist, a conflict is a caller bug.
+    if (cache != nullptr) {
+        SNS_ASSERT(
+            cache->bindModel(predictionFingerprint(effective.precision)),
+            "path cache is bound to a different model or precision "
+            "(fingerprint ", cache->boundModel(),
+            ") — a shared cache requires identical Circuitformer "
+            "weights and numeric tier; clear() it before switching");
+    }
+
     // Call-scoped width override; restores the prior process-wide
     // configuration (including "unset") when this call returns.
     par::ScopedThreads scoped_threads(options.threads);
+    auto &pool = par::globalPool();
 
-    std::vector<SnsPrediction> predictions(graphs.size());
-    // One task per design; each design's pipeline is self-contained and
-    // writes only its own slot. With a single design (or one thread)
-    // this degrades to the serial loop, and the per-design pipeline's
-    // inner parallelism (GEMM tiles, Circuitformer batches) takes over.
-    par::parallelFor(graphs.size(), [&](size_t begin, size_t end) {
-        tensor::NoGradGuard no_grad;
-        for (size_t i = begin; i < end; ++i) {
-            SNS_ASSERT(graphs[i] != nullptr,
-                       "predictBatch: null graph at index ", i);
-            predictions[i] = predictOne(*graphs[i], effective);
+    // 1. Sample every design (one task per design, claimed one at a
+    //    time) and probe the cache for each sampled path. Every probe
+    //    precedes every insert of this call, so a hit means "resident
+    //    before the call" and the counters are a pure function of the
+    //    input at any pool width.
+    std::vector<DesignPaths> designs(graphs.size());
+    pool.run(graphs.size(), [&](size_t d) {
+        auto &design = designs[d];
+        design = DesignPaths(
+            sampler::PathSampler(sampler_options_).sample(*graphs[d]));
+        for (size_t p = 0; p < design.size(); ++p) {
+            const TokenSpan tokens = design.path(p);
+            if (cache == nullptr || !cache->lookup(tokens, design.preds[p])) {
+                design.hashes[p] = perf::hashTokens(tokens);
+                design.slots[p] = 0; // a miss: interned below
+            }
         }
+    });
+
+    // 2. Intern every missed path of the call into one table, in
+    //    sample order (design-major): each distinct token sequence
+    //    appears once, at its first occurrence.
+    PathTable table;
+    for (auto &design : designs) {
+        for (size_t p = 0; p < design.size(); ++p) {
+            if (design.slots[p] != kNoSlot)
+                design.slots[p] =
+                    table.intern(design.path(p), design.hashes[p]);
+        }
+    }
+
+    // 3. Forward the unique misses sorted by (length, first
+    //    occurrence), in batches over the whole pool. Rows are bitwise
+    //    independent of their batch mates (key-masked padding, masked
+    //    mean-pool, per-row GEMM and LayerNorm; see docs/perf.md), so
+    //    regrouping only saves padding and duplicate forwards, never a
+    //    bit.
+    const auto &unique = table.paths();
+    std::vector<uint32_t> order(unique.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return unique[a].size() < unique[b].size();
+                     });
+    std::vector<TokenSpan> sorted;
+    sorted.reserve(order.size());
+    for (const uint32_t u : order)
+        sorted.push_back(unique[u]);
+    // A call with fewer unique paths than one full batch per worker
+    // cuts smaller batches, so it still spreads over the whole pool.
+    const size_t width = static_cast<size_t>(pool.threads());
+    const size_t rows = std::min<size_t>(
+        effective.batch_size, (sorted.size() + width - 1) / width);
+    const auto sorted_preds = circuitformer_->predict(
+        sorted, static_cast<int>(std::max<size_t>(rows, 1)),
+        effective.precision);
+    std::vector<PathPrediction> unique_preds(unique.size());
+    for (size_t j = 0; j < order.size(); ++j)
+        unique_preds[order[j]] = sorted_preds[j];
+
+    // 4. Memoize in unique-table order (so FIFO eviction is a pure
+    //    function of the input too), then scatter in sample order.
+    if (cache != nullptr) {
+        for (size_t u = 0; u < unique.size(); ++u)
+            cache->insert(unique[u], unique_preds[u]);
+    }
+    for (auto &design : designs) {
+        for (size_t p = 0; p < design.size(); ++p) {
+            if (design.slots[p] != kNoSlot)
+                design.preds[p] = unique_preds[design.slots[p]];
+        }
+    }
+
+    // 5. Reductions and design-level heads, one task per design.
+    std::vector<SnsPrediction> predictions(graphs.size());
+    pool.run(graphs.size(), [&](size_t d) {
+        tensor::NoGradGuard no_grad;
+        predictions[d] = reduceDesign(*graphs[d], designs[d], heads_,
+                                      effective.collect_critical_path);
     });
     return predictions;
 }
@@ -354,15 +446,27 @@ SnsPredictor::quantize(
                "— a plan must be bound and SNS_PLAN on");
     const auto &fp64_plan = circuitformer_->boundPlan();
 
-    // Calibration pass: run the held-out shard through the exact fp64
-    // pipeline int8 will replace (same sampler, same batching), with a
-    // Calibrator observing every Gemm input's absmax. Observation
-    // changes no computed value.
+    // Calibration pass: run each held-out design's sampled paths, in
+    // sample order and at the default batch size, through the fp64
+    // plan int8 will replace, with a Calibrator observing every Gemm
+    // input's absmax. Observation changes no computed value. The
+    // observed inputs include padded rows, so the scales depend on how
+    // paths are grouped into batches: this grouping is fixed here,
+    // apart from predictBatch's deduplicated length-sorted batches.
     plan::Calibrator calibrator;
     fp64_plan->setCalibrationObserver(&calibrator);
-    PredictOptions calibration_options;
-    calibration_options.collect_critical_path = false;
-    predictBatch(calibration, calibration_options);
+    par::globalPool().run(calibration.size(), [&](size_t d) {
+        SNS_ASSERT(calibration[d] != nullptr,
+                   "quantize: null calibration graph at index ", d);
+        const DesignPaths design(
+            sampler::PathSampler(sampler_options_).sample(*calibration[d]));
+        std::vector<TokenSpan> tokens;
+        tokens.reserve(design.size());
+        for (size_t p = 0; p < design.size(); ++p)
+            tokens.push_back(design.path(p));
+        circuitformer_->predict(tokens, PredictOptions().batch_size,
+                                Precision::Fp64);
+    });
     fp64_plan->setCalibrationObserver(nullptr);
 
     // Rewrite -> analyze (P-QUANT-* inside compilePlan) -> bind.

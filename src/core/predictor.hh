@@ -14,9 +14,10 @@
  *
  * The serving entry point is `predictBatch`: many designs in, one
  * prediction per design out, with work distributed over the sns::par
- * runtime — across designs when the batch has several, across path
- * batches (and GEMM tiles) inside a single large design. Predictions
- * are bitwise identical at any thread count (docs/parallelism.md).
+ * runtime — sampling and reductions across designs, the Circuitformer
+ * across length-sorted batches of the call's unique token paths.
+ * Predictions are bitwise identical at any thread count
+ * (docs/parallelism.md).
  */
 
 #ifndef SNS_CORE_PREDICTOR_HH
@@ -59,10 +60,11 @@ struct PredictOptions
      */
     int threads = 0;
 
-    /** Paths per Circuitformer forward pass. Changing it regroups the
-     * padded batches, which legitimately changes results at the
-     * float level — it is a model-evaluation knob, not a parallelism
-     * knob, and the thread count never alters it. */
+    /** Most paths per Circuitformer forward pass: a throughput knob.
+     * Batches at or below the bound plan's batch_max (64) run planned,
+     * larger ones take the module walk, and int8 rejects them
+     * (V-OPT-PRECISION). Padded rows are key-masked and every other op
+     * is per-row, so no value of it changes a bit (docs/perf.md). */
     int batch_size = 64;
 
     /** Record each design's predicted critical path (skip to save the
@@ -71,13 +73,15 @@ struct PredictOptions
 
     /**
      * Optional content-addressed path-prediction cache (not owned).
-     * When set, every sampled path is looked up first and only the
-     * unique misses are forwarded through the Circuitformer — within
-     * one design each unique path runs exactly once, and a cache held
-     * across predictBatch calls (DSE sweeps over design variants that
-     * share most of their paths) extends the reuse across batches.
-     * Predictions are bitwise identical cache-on vs cache-off
-     * (docs/perf.md).
+     * Every call forwards each distinct token path once; with a cache,
+     * every sampled path is looked up first, before any of the call's
+     * inserts, and only the misses are forwarded and then memoized — a
+     * cache held across predictBatch calls (DSE sweeps over design
+     * variants that share most of their paths) extends the reuse
+     * across calls. A hit therefore means "resident before this call",
+     * and the counters a call adds are a pure function of its input at
+     * any pool width. Predictions are bitwise identical cache-on vs
+     * cache-off (docs/perf.md).
      *
      * The cache may be shared across predictor instances and threads,
      * but only among predictors whose Circuitformer weights are
@@ -230,17 +234,6 @@ class SnsPredictor
     static SnsPredictor load(const std::string &directory);
 
   private:
-    /** The full single-design pipeline (sample -> infer -> aggregate). */
-    SnsPrediction predictOne(const graphir::Graph &graph,
-                             const PredictOptions &options) const;
-
-    /** Path-level inference through a cache: probe every path, dedup
-     * the misses, forward each unique miss once, scatter in order. */
-    std::vector<PathPrediction> predictPathsCached(
-        const std::vector<std::vector<graphir::TokenId>> &token_paths,
-        perf::PathPredictionCache &cache, int batch_size,
-        Precision precision) const;
-
     /** Resolve the call's numeric tier against this model: emits the
      * model-aware V-OPT-PRECISION diagnostics and returns the tier to
      * actually run at (Count-mode recovery falls back to Fp64). */

@@ -21,10 +21,12 @@
  * Concurrency and determinism: the map is sharded by key hash, one
  * mutex per shard. Eviction is per shard, FIFO in insertion order, and
  * capacity is enforced deterministically (a single-threaded fill
- * always evicts the same keys in the same order). Under concurrent
- * mixed workloads the hit/miss *split* may vary run to run — the
- * *predictions* never do, because every value is a pure function of
- * its key.
+ * always evicts the same keys in the same order). predictBatch probes
+ * all of a call's paths before inserting its misses in a fixed order,
+ * so one call's counters do not depend on the pool width; only
+ * concurrent calls or direct users interleaving on one cache may vary
+ * the hit/miss *split* run to run — the *predictions* never do,
+ * because every value is a pure function of its key.
  *
  * Sharing contract: one cache may be shared across threads, across
  * predictBatch calls, and across *predictor instances* — provided

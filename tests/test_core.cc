@@ -22,7 +22,10 @@
 #include "obs/metrics.hh"
 #include "par/thread_pool.hh"
 #include "perf/path_cache.hh"
+#include "plan/calibrate.hh"
 #include "plan/runtime.hh"
+#include "plan/snsp.hh"
+#include "tensor/autograd.hh"
 #include "util/stats.hh"
 #include "verify/analyzer.hh"
 
@@ -585,9 +588,11 @@ TEST(PredictBatchTest, CacheAccountingAcrossRepeatedBatches)
 TEST(PredictBatchTest, SharedCacheUnderConcurrentDesigns)
 {
     // Several designs fanned over the pool all hammer one cache
-    // (exercised under the TSan leg of tools/run_lint.sh). The split
-    // between hits and misses is timing-dependent, but the predictions
-    // must still be bitwise identical to the uncached serial run.
+    // (exercised under the TSan leg of tools/run_lint.sh). Every probe
+    // of a call precedes its inserts, so the counters are a pure
+    // function of the input: the 4-thread stats equal the 1-thread
+    // ones, and the predictions are bitwise identical to the uncached
+    // serial run.
     const auto &dataset = smokeDataset();
     std::vector<size_t> train_idx = {0, 1, 2, 3, 4};
     SnsTrainer trainer(TrainerConfig::fast());
@@ -615,6 +620,19 @@ TEST(PredictBatchTest, SharedCacheUnderConcurrentDesigns)
     const auto stats = cache.stats();
     EXPECT_GT(stats.inserts, 0u);
     EXPECT_EQ(stats.entries, stats.inserts);
+
+    perf::PathPredictionCache serial_cache;
+    PredictOptions serial = concurrent;
+    serial.threads = 1;
+    serial.cache = &serial_cache;
+    predictor.predictBatch(graphs, serial);
+    const auto want = serial_cache.stats();
+    EXPECT_EQ(stats.hits, want.hits);
+    EXPECT_EQ(stats.misses, want.misses);
+    EXPECT_EQ(stats.inserts, want.inserts);
+    EXPECT_EQ(stats.evictions, want.evictions);
+    EXPECT_EQ(stats.entries, want.entries);
+    EXPECT_EQ(stats.bytes, want.bytes);
     par::setThreads(1);
 }
 
@@ -1294,6 +1312,217 @@ TEST(PredictorTest, QuantizedSaveLoadRoundTrip)
     EXPECT_EQ(loaded.predictionFingerprint(Precision::Int8),
               loaded_twin.predictionFingerprint(Precision::Int8));
     std::filesystem::remove_all(dir);
+}
+
+/** A trained predictor quantized on the first six smoke designs (the
+ * calibration set of the quantize tests below). */
+const SnsPredictor &
+quantizedPredictor()
+{
+    static const SnsPredictor predictor = [] {
+        const auto &dataset = smokeDataset();
+        SnsTrainer trainer(TrainerConfig::fast());
+        auto trained =
+            trainer.train(dataset, {0, 1, 2, 3, 4, 5}, oracle());
+        std::vector<const graphir::Graph *> calibration;
+        for (size_t idx = 0; idx < 6; ++idx)
+            calibration.push_back(&dataset.records()[idx].graph);
+        trained.quantize(calibration);
+        return trained;
+    }();
+    return predictor;
+}
+
+/**
+ * predictBatch rebuilt from public calls, one design at a time: sample,
+ * Circuitformer::predict over the design's paths in sample order at
+ * the default batch size, reduceAggregates, the heads. Shares no code
+ * with predictBatch's interning, sorting or batching.
+ */
+SnsPrediction
+perDesignOracle(const SnsPredictor &predictor, const graphir::Graph &graph,
+                Precision precision)
+{
+    tensor::NoGradGuard no_grad;
+    SnsPrediction out;
+    const auto paths =
+        sampler::PathSampler(predictor.samplerOptions()).sample(graph);
+    out.paths_sampled = paths.size();
+    if (paths.empty())
+        return out;
+    std::vector<std::vector<TokenId>> tokens;
+    std::vector<size_t> lengths;
+    std::vector<double> activities;
+    for (const auto &path : paths) {
+        tokens.push_back(path.tokens);
+        lengths.push_back(path.nodes.size());
+        activities.push_back(0.5 * (graph.activity(path.nodes.front()) +
+                                    graph.activity(path.nodes.back())));
+    }
+    const auto preds = predictor.circuitformer().predict(
+        tokens, PredictOptions().batch_size, precision);
+    const auto summary =
+        reduceAggregates(graph, preds, lengths, activities);
+    out.timing_ps = predictor.heads().timing->predict(summary);
+    out.area_um2 = predictor.heads().area->predict(summary);
+    out.power_mw = predictor.heads().power->predict(summary);
+    size_t argmax = 0;
+    for (size_t i = 1; i < preds.size(); ++i) {
+        if (preds[i].timing_ps > preds[argmax].timing_ps)
+            argmax = i;
+    }
+    out.critical_path = paths[argmax].nodes;
+    return out;
+}
+
+void
+expectSamePredictions(const std::vector<SnsPrediction> &got,
+                      const std::vector<SnsPrediction> &want,
+                      const std::string &label)
+{
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].timing_ps, want[i].timing_ps) << label << " #" << i;
+        EXPECT_EQ(got[i].area_um2, want[i].area_um2) << label << " #" << i;
+        EXPECT_EQ(got[i].power_mw, want[i].power_mw) << label << " #" << i;
+        EXPECT_EQ(got[i].critical_path, want[i].critical_path)
+            << label << " #" << i;
+        EXPECT_EQ(got[i].paths_sampled, want[i].paths_sampled)
+            << label << " #" << i;
+    }
+}
+
+TEST(PredictBatchTest, MatchesPerDesignOracle)
+{
+    // The batch-wide pipeline (intern every sampled path of the call,
+    // forward the unique misses in length-sorted batches, scatter)
+    // against an independent per-design rebuild, at two pool widths,
+    // through no cache, a fresh, a warm and an evicting cache, at fp64
+    // and int8.
+    const auto &dataset = smokeDataset();
+    const auto &predictor = quantizedPredictor();
+    graphir::Graph lone("lone_register"); // one register, no path
+    lone.addNode(graphir::NodeType::Dff, 8);
+
+    std::vector<const graphir::Graph *> graphs;
+    for (const auto &record : dataset.records())
+        graphs.push_back(&record.graph);
+    graphs.push_back(graphs[0]); // the same design twice
+    graphs.push_back(&lone);
+
+    // The corpus must share token paths across designs, or the
+    // call-wide dedup would be untested.
+    std::map<std::vector<TokenId>, std::set<size_t>> owners;
+    for (size_t d = 0; d < dataset.size(); ++d) {
+        for (const auto &path :
+             sampler::PathSampler(predictor.samplerOptions())
+                 .sample(*graphs[d]))
+            owners[path.tokens].insert(d);
+    }
+    size_t shared = 0;
+    for (const auto &[tokens, designs] : owners)
+        shared += designs.size() > 1 ? 1 : 0;
+    EXPECT_GT(shared, 0u);
+
+    for (const Precision precision : {Precision::Fp64, Precision::Int8}) {
+        std::vector<SnsPrediction> want;
+        for (const auto *graph : graphs)
+            want.push_back(perDesignOracle(predictor, *graph, precision));
+        EXPECT_EQ(want.back().paths_sampled, 0u);
+        for (const int threads : {1, 4}) {
+            const std::string tier = precisionName(precision);
+            const std::string at =
+                tier + " threads=" + std::to_string(threads);
+            PredictOptions options;
+            options.threads = threads;
+            options.precision = precision;
+            expectSamePredictions(predictor.predictBatch(graphs, options),
+                                  want, at + " no cache");
+
+            perf::PathPredictionCache cache;
+            options.cache = &cache;
+            expectSamePredictions(predictor.predictBatch(graphs, options),
+                                  want, at + " fresh cache");
+            expectSamePredictions(predictor.predictBatch(graphs, options),
+                                  want, at + " warm cache");
+
+            perf::PathPredictionCache bounded(perf::PathCacheOptions{8, 2});
+            options.cache = &bounded;
+            for (int pass = 0; pass < 2; ++pass) {
+                expectSamePredictions(
+                    predictor.predictBatch(graphs, options), want,
+                    at + " evicting cache pass " + std::to_string(pass));
+            }
+            EXPECT_GT(bounded.stats().evictions, 0u) << at;
+            EXPECT_GT(bounded.stats().hits, 0u) << at;
+        }
+        if (precision == Precision::Fp64) {
+            // Batches above the plan's batch_max take the module walk.
+            for (const int threads : {1, 4}) {
+                PredictOptions walk;
+                walk.threads = threads;
+                walk.batch_size = 100;
+                expectSamePredictions(
+                    predictor.predictBatch(graphs, walk), want,
+                    "fp64 batch_size=100 threads=" +
+                        std::to_string(threads));
+            }
+        }
+    }
+    par::setThreads(1);
+}
+
+TEST(PredictBatchTest, BatchSizeNeverChangesBits)
+{
+    // batch_size is a throughput knob: padded rows are key-masked and
+    // every other op is per-row, so any grouping yields the same bits
+    // at both tiers.
+    const auto &dataset = smokeDataset();
+    const auto &predictor = quantizedPredictor();
+    std::vector<const graphir::Graph *> graphs;
+    for (const auto &record : dataset.records())
+        graphs.push_back(&record.graph);
+    for (const Precision precision : {Precision::Fp64, Precision::Int8}) {
+        PredictOptions options;
+        options.precision = precision;
+        const auto base = predictor.predictBatch(graphs, options);
+        for (const int batch_size : {1, 7}) {
+            options.batch_size = batch_size;
+            expectSamePredictions(
+                predictor.predictBatch(graphs, options), base,
+                std::string(precisionName(precision)) +
+                    " batch_size=" + std::to_string(batch_size));
+        }
+    }
+}
+
+TEST(PredictBatchTest, QuantizeCalibratesPerDesignInSampleOrder)
+{
+    // The Calibrator sees padded rows, so int8 scales depend on how
+    // calibration paths are grouped. quantize() must keep the grouping
+    // of a per-design Circuitformer::predict in sample order at the
+    // default batch size: rebuilt from public calls here, its payload
+    // hash must be the one quantize() bound.
+    const auto &dataset = smokeDataset();
+    const auto &predictor = quantizedPredictor();
+    const auto &model = predictor.circuitformer();
+    plan::Calibrator calibrator;
+    model.boundPlan()->setCalibrationObserver(&calibrator);
+    for (size_t idx = 0; idx < 6; ++idx) {
+        const auto &graph = dataset.records()[idx].graph;
+        std::vector<std::vector<TokenId>> tokens;
+        for (const auto &path :
+             sampler::PathSampler(predictor.samplerOptions()).sample(graph))
+            tokens.push_back(path.tokens);
+        model.predict(tokens);
+    }
+    model.boundPlan()->setCalibrationObserver(nullptr);
+    const auto quantized = plan::quantizePlan(
+        model.boundPlan()->plan(), calibrator, model.parameters());
+    const auto payload = plan::serializePlanPayload(quantized);
+    const uint64_t hash = plan::fnv1a(payload.data(), payload.size());
+    EXPECT_EQ(predictor.predictionFingerprint(Precision::Int8),
+              hash == 0 ? 1 : hash);
 }
 
 } // namespace

@@ -86,7 +86,8 @@ echo "== quantized tier: SNS_SIMD ladder sweep under ASan+UBSan =="
 # The int8 kernels promise identical bits at every dispatch rung
 # (docs/quantization.md); run the quantized suites at each rung so the
 # promise is sanitizer-checked on the scalar, AVX2, and (when the CPU
-# allows) VNNI paths alike.
+# allows) VNNI paths alike. PredictBatch* holds the per-design oracle
+# test of predictBatch at fp64 and int8.
 for level in 0 1 2; do
     echo "-- SNS_SIMD=$level --"
     SNS_SIMD=$level "$BUILD/tests/test_tensor" \
@@ -95,6 +96,8 @@ for level in 0 1 2; do
         --gtest_filter='PlanQuantTest.*' > /dev/null
     SNS_SIMD=$level "$BUILD/tests/test_verify" \
         --gtest_filter='*Quant*' > /dev/null
+    SNS_SIMD=$level "$BUILD/tests/test_core" \
+        --gtest_filter='PredictBatch*' > /dev/null
 done
 
 echo "== quantized tier: calibrate, lint, cross-rung bitwise =="
