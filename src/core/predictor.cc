@@ -451,19 +451,19 @@ SnsPredictor::quantize(
     // plan int8 will replace, with a Calibrator observing every Gemm
     // input's absmax. Observation changes no computed value. The
     // observed inputs include padded rows, so the scales depend on how
-    // paths are grouped into batches: this grouping is fixed here,
-    // apart from predictBatch's deduplicated length-sorted batches.
+    // paths are grouped into batches: this pass keeps that grouping
+    // instead of predictBatch's deduplicated, length-sorted batches.
     plan::Calibrator calibrator;
     fp64_plan->setCalibrationObserver(&calibrator);
     par::globalPool().run(calibration.size(), [&](size_t d) {
         SNS_ASSERT(calibration[d] != nullptr,
                    "quantize: null calibration graph at index ", d);
-        const DesignPaths design(
-            sampler::PathSampler(sampler_options_).sample(*calibration[d]));
+        const auto paths =
+            sampler::PathSampler(sampler_options_).sample(*calibration[d]);
         std::vector<TokenSpan> tokens;
-        tokens.reserve(design.size());
-        for (size_t p = 0; p < design.size(); ++p)
-            tokens.push_back(design.path(p));
+        tokens.reserve(paths.size());
+        for (const auto &path : paths)
+            tokens.emplace_back(path.tokens);
         circuitformer_->predict(tokens, PredictOptions().batch_size,
                                 Precision::Fp64);
     });
