@@ -326,17 +326,30 @@ std::vector<PathPrediction>
 Circuitformer::predict(const std::vector<std::vector<TokenId>> &paths,
                        int batch_size, Precision precision) const
 {
+    SNS_ASSERT(batch_size > 0, "predict() needs batch_size > 0");
     const std::vector<std::span<const TokenId>> views(paths.begin(),
                                                       paths.end());
-    return predict(views, batch_size, precision);
+    std::vector<size_t> cuts;
+    for (size_t start = 0; start < views.size(); start += batch_size)
+        cuts.push_back(start);
+    cuts.push_back(views.size());
+    return predict(views, cuts, precision);
 }
 
 std::vector<PathPrediction>
 Circuitformer::predict(std::span<const std::span<const TokenId>> paths,
-                       int batch_size, Precision precision) const
+                       std::span<const size_t> cuts,
+                       Precision precision) const
 {
     SNS_ASSERT(normalized_, "fitNormalization() before predict()");
-    SNS_ASSERT(batch_size > 0, "predict() needs batch_size > 0");
+    SNS_ASSERT(!cuts.empty() && cuts.front() == 0 &&
+                   cuts.back() == paths.size(),
+               "predict: cuts must run from 0 to paths.size()");
+    size_t batch_size = 0;
+    for (size_t b = 0; b + 1 < cuts.size(); ++b) {
+        SNS_ASSERT(cuts[b] < cuts[b + 1], "predict: empty batch ", b);
+        batch_size = std::max(batch_size, cuts[b + 1] - cuts[b]);
+    }
     // Int8 runs exclusively through the quantized plan — there is no
     // integer module walk to fall back on. predictBatch() turns these
     // preconditions into V-OPT-PRECISION diagnostics before the call
@@ -346,25 +359,24 @@ Circuitformer::predict(std::span<const std::span<const TokenId>> paths,
         SNS_ASSERT(qplan_ != nullptr && plan::planEnabled(),
                    "predict: precision=int8 needs a bound quantized "
                    "plan and SNS_PLAN on");
-        SNS_ASSERT(batch_size <= qplan_->batchMax(),
+        SNS_ASSERT(batch_size <= static_cast<size_t>(qplan_->batchMax()),
                    "predict: precision=int8 batch_size ", batch_size,
                    " exceeds the quantized plan's batch_max ",
                    qplan_->batchMax());
         active = qplan_.get();
     }
     std::vector<PathPrediction> out(paths.size());
-    // Batch boundaries depend only on batch_size, never on the thread
+    // Batch boundaries depend only on `cuts`, never on the thread
     // count, and each forward pass writes a disjoint slice of `out` —
     // so the parallel prediction is bitwise identical to the serial one.
     // Workers claim one batch at a time, the last batch first: when the
     // caller sorted its paths by length, the longest batches start
     // first and no worker is left holding them at the end.
-    const size_t stride = static_cast<size_t>(batch_size);
-    const size_t num_batches = (paths.size() + stride - 1) / stride;
+    const size_t num_batches = cuts.size() - 1;
     par::globalPool().run(num_batches, [&](size_t task) {
         NoGradGuard no_grad;
-        const size_t start = (num_batches - 1 - task) * stride;
-        const size_t end = std::min(paths.size(), start + stride);
+        const size_t start = cuts[num_batches - 1 - task];
+        const size_t end = cuts[num_batches - task];
         const auto batch_paths = paths.subspan(start, end - start);
         std::vector<int> ids;
         std::vector<int> lengths;

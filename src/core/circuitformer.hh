@@ -123,12 +123,14 @@ class Circuitformer : public nn::Module
         int batch_size = 64,
         Precision precision = Precision::Fp64) const;
 
-    /** The same over borrowed token paths (nothing is copied): result
-     * i belongs to paths[i]. Batches are cut from `paths` in order;
-     * a caller that sorts them by length saves padding. */
+    /** The same over borrowed token paths (nothing is copied), in
+     * caller-chosen batches: batch b holds paths [cuts[b], cuts[b+1]),
+     * and `cuts` runs from 0 to paths.size(). Result i belongs to
+     * paths[i]; a caller that groups paths of similar length saves
+     * padding. */
     std::vector<PathPrediction> predict(
         std::span<const std::span<const graphir::TokenId>> paths,
-        int batch_size = 64,
+        std::span<const size_t> cuts,
         Precision precision = Precision::Fp64) const;
 
     std::vector<tensor::Variable> parameters() const override;

@@ -336,13 +336,25 @@ SnsPredictor::predictBatch(std::span<const graphir::Graph *const> graphs,
     for (const uint32_t u : order)
         sorted.push_back(unique[u]);
     // A call with fewer unique paths than one full batch per worker
-    // cuts smaller batches, so it still spreads over the whole pool.
+    // cuts smaller batches, so it still spreads over the whole pool. A
+    // batch also closes before a path more than twice as long as its
+    // shortest one, so a few long paths never pad many short ones
+    // (attention cost grows with the square of the padded length).
     const size_t width = static_cast<size_t>(pool.threads());
-    const size_t rows = std::min<size_t>(
-        effective.batch_size, (sorted.size() + width - 1) / width);
-    const auto sorted_preds = circuitformer_->predict(
-        sorted, static_cast<int>(std::max<size_t>(rows, 1)),
-        effective.precision);
+    const size_t rows = std::max<size_t>(
+        1, std::min<size_t>(effective.batch_size,
+                            (sorted.size() + width - 1) / width));
+    std::vector<size_t> cuts = {0};
+    for (size_t i = 1; i < sorted.size(); ++i) {
+        const size_t start = cuts.back();
+        if (i - start == rows ||
+            sorted[i].size() > 2 * sorted[start].size())
+            cuts.push_back(i);
+    }
+    if (!sorted.empty())
+        cuts.push_back(sorted.size());
+    const auto sorted_preds =
+        circuitformer_->predict(sorted, cuts, effective.precision);
     std::vector<PathPrediction> unique_preds(unique.size());
     for (size_t j = 0; j < order.size(); ++j)
         unique_preds[order[j]] = sorted_preds[j];
@@ -460,10 +472,10 @@ SnsPredictor::quantize(
                    "quantize: null calibration graph at index ", d);
         const auto paths =
             sampler::PathSampler(sampler_options_).sample(*calibration[d]);
-        std::vector<TokenSpan> tokens;
+        std::vector<std::vector<graphir::TokenId>> tokens;
         tokens.reserve(paths.size());
         for (const auto &path : paths)
-            tokens.emplace_back(path.tokens);
+            tokens.push_back(path.tokens);
         circuitformer_->predict(tokens, PredictOptions().batch_size,
                                 Precision::Fp64);
     });
